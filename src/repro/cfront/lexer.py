@@ -5,9 +5,26 @@ Covers the token set of C89 plus the C99 additions the parser understands
 by three clients: the preprocessor (which works on raw token lines), the
 parser, and the metal pattern compiler (which extends the identifier space
 with hole variables).
+
+Scanning is one compiled master pattern (``_master_pattern``) run with
+``finditer``: an alternation of named groups for spacing (blanks,
+``\\``-newline splices, ``//`` and ``/* */`` comments), newline,
+identifier, float and integer constants, string, char, punctuators
+(longest first, so the first alternative that matches is the maximal
+munch) and a catch-all that becomes a :class:`LexError`.  The match's
+``lastgroup`` picks the token kind.  Every position matches some group,
+so the matches tile the text.  Line numbers count the newlines consumed
+so far; a column is the match offset minus the offset where the current
+line starts.  Only spacing and literals (via an escaped newline) can
+span lines, so only they move that line start.
+
+Identifiers and numbers are ASCII, as in C89.  Any other non-ASCII
+character outside a comment or literal raises ``unexpected character``,
+which the driver records as a ``unit`` degradation.
 """
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 from repro.cfront.source import LexError, Location
@@ -136,6 +153,44 @@ class Token:
         return not values or self.value in values
 
 
+def _master_pattern(emit_newlines):
+    """The one alternation every lexeme comes from (module docstring).
+
+    Outside preprocessor mode a newline is just more spacing."""
+    blank = r"[ \t\r\f\v]" if emit_newlines else r"[ \t\r\f\v\n]"
+    return re.compile(
+        r"(?P<space>(?:%s|\\\n|//[^\n]*|/\*.*?\*/)+)"
+        r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+        r"|(?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fFlL]*"
+        r"|[0-9]+[eE][+-]?[0-9]+[fFlL]*)"
+        r"|(?P<int>0[xX][0-9a-fA-F]*[uUlL]*|[0-9]+[uUlL]*)"
+        r"|(?P<newline>\n)"
+        r"|(?P<string>\"(?:[^\"\\\n]|\\.)*\")"
+        r"|(?P<char>'(?:[^'\\\n]|\\.)*')"
+        r"|(?P<open_comment>/\*)"
+        r"|(?P<punct>%s)"
+        r"|(?P<error>.)" % (blank, "|".join(map(re.escape, PUNCTUATORS))),
+        re.DOTALL,
+    )
+
+
+_PATTERNS = {mode: _master_pattern(mode) for mode in (False, True)}
+
+_KINDS = {
+    "float": TokenKind.FLOAT_CONST,
+    "int": TokenKind.INT_CONST,
+    "string": TokenKind.STRING,
+    "char": TokenKind.CHAR_CONST,
+}
+
+# The lexeme that opened an unterminated comment or literal -> message.
+_UNTERMINATED = {
+    "/*": "unterminated block comment",
+    '"': "unterminated string literal",
+    "'": "unterminated character constant",
+}
+
+
 class Lexer:
     """Converts C source text into a list of :class:`Token`.
 
@@ -148,196 +203,64 @@ class Lexer:
         self.text = text
         self.filename = filename
         self.emit_newlines = emit_newlines
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self._at_line_start = True
-
-    def location(self):
-        return Location(self.filename, self.line, self.column)
 
     def tokens(self):
         """Tokenize the whole input, ending with a single EOF token."""
+        text, filename = self.text, self.filename
+        emit_newlines = self.emit_newlines
         out = []
-        while True:
-            token = self.next_token()
-            out.append(token)
-            if token.kind is TokenKind.EOF:
-                return out
-
-    # -- character helpers -------------------------------------------------
-
-    def _peek(self, offset=0):
-        index = self.pos + offset
-        if index < len(self.text):
-            return self.text[index]
-        return ""
-
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self.pos >= len(self.text):
-                return
-            char = self.text[self.pos]
-            self.pos += 1
-            if char == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-
-    def _skip_whitespace_and_comments(self):
-        """Skip spaces and comments; return (saw_space, saw_newline)."""
+        line, line_start = 1, 0
         saw_space = False
-        saw_newline = False
-        while self.pos < len(self.text):
-            char = self._peek()
-            if char == "\\" and self._peek(1) == "\n":
-                # Line continuation: splice.
-                self._advance(2)
-                saw_space = True
-            elif char == "\n":
-                if self.emit_newlines:
-                    return saw_space, True
-                saw_newline = True
-                saw_space = True
-                self._advance()
-            elif char in " \t\r\f\v":
-                saw_space = True
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-                saw_space = True
-            elif char == "/" and self._peek(1) == "*":
-                start = self.location()
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
+        at_line_start = True
+        pos = 0
+        while True:
+            for match in _PATTERNS[emit_newlines].finditer(text, pos):
+                group = match.lastgroup
+                value = match.group()
+                start = match.start()
+                if group == "space":
+                    saw_space = True
+                    if "\n" in value:
+                        line += value.count("\n")
+                        line_start = start + value.rindex("\n") + 1
+                    continue
+                location = Location(filename, line, start - line_start + 1)
+                if group == "ident":
+                    kind = TokenKind.KEYWORD if value in KEYWORDS else TokenKind.IDENT
+                elif group == "punct":
+                    if value[0] == "#" and at_line_start and emit_newlines:
+                        out.append(Token(TokenKind.HASH, "#", location, saw_space))
+                        saw_space = at_line_start = False
+                        if value != "#":
+                            # HASH took one '#' of a '##': rescan the rest.
+                            pos = start + 1
+                            break
+                        continue
+                    kind = TokenKind.PUNCT
+                elif group == "newline":
+                    out.append(Token(TokenKind.NEWLINE, value, location, saw_space))
+                    line += 1
+                    line_start = start + 1
+                    saw_space = False
+                    at_line_start = True
+                    continue
+                elif group in _KINDS:
+                    kind = _KINDS[group]
+                    if "\n" in value:  # escaped newline inside a literal
+                        line += value.count("\n")
+                        line_start = start + value.rindex("\n") + 1
                 else:
-                    raise LexError("unterminated block comment", start)
-                saw_space = True
+                    raise LexError(
+                        _UNTERMINATED.get(value, "unexpected character %r" % value),
+                        location,
+                    )
+                out.append(Token(kind, value, location, saw_space))
+                saw_space = at_line_start = False
             else:
                 break
-        return saw_space, saw_newline
-
-    # -- token scanners ----------------------------------------------------
-
-    def next_token(self):
-        saw_space, _ = self._skip_whitespace_and_comments()
-        location = self.location()
-
-        if self.emit_newlines and self._peek() == "\n":
-            self._advance()
-            self._at_line_start = True
-            return Token(TokenKind.NEWLINE, "\n", location, saw_space)
-
-        if self.pos >= len(self.text):
-            return Token(TokenKind.EOF, "", location, saw_space)
-
-        char = self._peek()
-        at_line_start = self._at_line_start
-        self._at_line_start = False
-
-        if char.isalpha() or char == "_":
-            return self._lex_identifier(location, saw_space)
-        if char.isdigit() or (char == "." and self._peek(1).isdigit()):
-            return self._lex_number(location, saw_space)
-        if char == '"':
-            return self._lex_string(location, saw_space)
-        if char == "'":
-            return self._lex_char(location, saw_space)
-        if char == "#" and at_line_start and self.emit_newlines:
-            self._advance()
-            return Token(TokenKind.HASH, "#", location, saw_space)
-        return self._lex_punct(location, saw_space)
-
-    def _lex_identifier(self, location, saw_space):
-        start = self.pos
-        while self.pos < len(self.text) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        name = self.text[start : self.pos]
-        kind = TokenKind.KEYWORD if name in KEYWORDS else TokenKind.IDENT
-        return Token(kind, name, location, saw_space)
-
-    def _lex_number(self, location, saw_space):
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == ".":
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() and self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) and self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() and self._peek() in "+-":
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        # Suffixes: integer (u/l combinations) or float (f/l).
-        # (note: _peek() returns "" at EOF, and "" is "in" any string, so
-        # every suffix check must also require a nonempty peek)
-        if is_float:
-            while self._peek() and self._peek() in "fFlL":
-                self._advance()
-        else:
-            while self._peek() and self._peek() in "uUlL":
-                self._advance()
-        text = self.text[start : self.pos]
-        kind = TokenKind.FLOAT_CONST if is_float else TokenKind.INT_CONST
-        return Token(kind, text, location, saw_space)
-
-    def _lex_string(self, location, saw_space):
-        start = self.pos
-        self._advance()  # opening quote
-        while True:
-            if self.pos >= len(self.text) or self._peek() == "\n":
-                raise LexError("unterminated string literal", location)
-            char = self._peek()
-            if char == "\\":
-                self._advance(2)
-            elif char == '"':
-                self._advance()
-                break
-            else:
-                self._advance()
-        return Token(TokenKind.STRING, self.text[start : self.pos], location, saw_space)
-
-    def _lex_char(self, location, saw_space):
-        start = self.pos
-        self._advance()  # opening quote
-        while True:
-            if self.pos >= len(self.text) or self._peek() == "\n":
-                raise LexError("unterminated character constant", location)
-            char = self._peek()
-            if char == "\\":
-                self._advance(2)
-            elif char == "'":
-                self._advance()
-                break
-            else:
-                self._advance()
-        return Token(TokenKind.CHAR_CONST, self.text[start : self.pos], location, saw_space)
-
-    def _lex_punct(self, location, saw_space):
-        for punct in PUNCTUATORS:
-            if self.text.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, location, saw_space)
-        raise LexError("unexpected character %r" % self._peek(), location)
+        end = Location(filename, line, len(text) - line_start + 1)
+        out.append(Token(TokenKind.EOF, "", end, saw_space))
+        return out
 
 
 def tokenize(text, filename="<string>"):

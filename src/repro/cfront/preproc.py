@@ -188,33 +188,30 @@ class Preprocessor:
             system = True
         else:
             raise PreprocessorError("malformed #include", first.location)
-        path = self._find_include(target)
-        if path is None:
+        found = self._find_include(target)
+        if found is None:
             if system:
                 return []  # unresolved system headers are silently skipped
             raise PreprocessorError("cannot find include file %r" % target, first.location)
+        path, text = found
         if path in self.included:
             return []  # simple include-once; sufficient for our workloads
         self.included.add(path)
-        text = self.file_reader(path)
         lines = self._directive_lines(text, path)
         return self._process_lines(lines, path)
 
     def _find_include(self, target):
-        for base in self.include_paths:
-            candidate = os.path.join(base, target)
-            if self._readable(candidate):
-                return candidate
-        if self._readable(target):
-            return target
-        return None
+        """``(path, text)`` of the first readable candidate, else None.
 
-    def _readable(self, path):
-        try:
-            self.file_reader(path)
-            return True
-        except (OSError, KeyError):
-            return False
+        The probe is the read: a reader raising ``OSError`` or
+        ``KeyError`` (an in-memory reader's miss) means "not here"."""
+        candidates = [os.path.join(base, target) for base in self.include_paths]
+        for path in candidates + [target]:
+            try:
+                return path, self.file_reader(path)
+            except (OSError, KeyError):
+                continue
+        return None
 
     # -- macro expansion -----------------------------------------------------------
 

@@ -744,10 +744,9 @@ def _run(parser, args):
         reports, __ = triage.apply(reports, stats=project.stats)
 
     if args.refine:
-        from repro.cfg.fingerprint import fingerprint_tables
         from repro.refine import apply_refine_mode, refine_reports
 
-        __, fingerprints = fingerprint_tables(project.callgraph)
+        __, fingerprints = project.fingerprint_tables()
         refine_reports(reports, project.callgraph,
                        stats=project.stats,
                        backend=project.store_backend,

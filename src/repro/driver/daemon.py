@@ -281,10 +281,9 @@ class XgccDaemon:
         if triage is not None and len(triage):
             reports, __ = triage.apply(reports, stats=self.stats)
         if self.refine and project is not None:
-            from repro.cfg.fingerprint import fingerprint_tables
             from repro.refine import refine_reports
 
-            __, fingerprints = fingerprint_tables(project.callgraph)
+            __, fingerprints = project.fingerprint_tables()
             refine_reports(reports, project.callgraph, stats=self.stats,
                            backend=self.backend(),
                            fingerprints=fingerprints)

@@ -29,6 +29,7 @@ import os
 from repro.cfront.parser import Parser
 from repro.cfront.preproc import Preprocessor
 from repro.cfg.callgraph import CallGraph
+from repro.cfg.fingerprint import fingerprint_tables
 from repro.driver import cache as astcache
 from repro.driver import store as storemod
 from repro.driver.stats import DriverStats
@@ -84,6 +85,7 @@ class Project:
         self.compiled = []
         self.static_vars = {}
         self._callgraph = None
+        self._fingerprints = None
         #: Tier-1 cache keys this project probed (hits and stores) --
         #: recorded into the incremental manifest so cache GC knows which
         #: .ast frames a fresh manifest still depends on.
@@ -183,6 +185,7 @@ class Project:
     def _register(self, unit, filename):
         self.units.append(unit)
         self._callgraph = None
+        self._fingerprints = None
         for decl in unit.decls:
             if isinstance(decl, ast.VarDecl) and decl.storage == "static":
                 self.static_vars[decl.name] = filename
@@ -195,6 +198,15 @@ class Project:
             with self.stats.phase("callgraph"):
                 self._callgraph = CallGraph.from_units(self.units)
         return self._callgraph
+
+    def fingerprint_tables(self):
+        """``(local_hashes, fingerprints)`` of :attr:`callgraph`
+        (:func:`repro.cfg.fingerprint.fingerprint_tables`), computed once
+        per call graph: the incremental session and the refine pass of
+        one run share a single pass over every function body."""
+        if self._fingerprints is None:
+            self._fingerprints = fingerprint_tables(self.callgraph)
+        return self._fingerprints
 
     def analysis(self, options=None):
         """Build the analysis engine over the reassembled source base."""

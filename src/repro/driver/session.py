@@ -62,7 +62,6 @@ Safety valves (all recorded in the driver stats, never silent):
 import copy
 import hashlib
 
-from repro.cfg.fingerprint import fingerprint_tables
 from repro.driver import cache as astcache
 from repro.driver import store as storemod
 from repro.engine import deltas as deltamod
@@ -234,7 +233,7 @@ class IncrementalSession:
             )
 
         graph = project.callgraph
-        local, fingerprints = fingerprint_tables(graph)
+        local, fingerprints = project.fingerprint_tables()
         all_roots = (
             graph.roots() if options.interprocedural
             else sorted(graph.functions)

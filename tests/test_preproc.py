@@ -1,5 +1,7 @@
 """Unit tests for the lightweight preprocessor."""
 
+import os
+
 import pytest
 
 from repro.cfront.preproc import Preprocessor, preprocess
@@ -135,6 +137,24 @@ class TestIncludes:
             file_reader=lambda p: files[p],
         )
         assert out == "int counter ;"
+
+    def test_each_include_read_once(self):
+        # The include-path probe is the read: a miss costs one failed
+        # probe and a hit is read exactly once (include-once too).
+        files = {os.path.join("inc", "defs.h"): "#define N 7\n"}
+        reads = []
+
+        def reader(path):
+            reads.append(path)
+            return files[path]
+
+        out = preprocess(
+            '#include "defs.h"\n#include "defs.h"\nint x = N;',
+            include_paths=["skip", "inc"], file_reader=reader,
+        )
+        assert out == "int x = 7 ;"
+        probes = [os.path.join("skip", "defs.h"), os.path.join("inc", "defs.h")]
+        assert reads == probes * 2
 
     def test_missing_quoted_include_raises(self):
         with pytest.raises(PreprocessorError):

@@ -352,6 +352,53 @@ def running_daemon(src_dir, cache_dir, sock_path, refine=None,
         assert not thread.is_alive(), "daemon thread wedged"
 
 
+class TestOneFingerprintPass:
+    """The incremental session and the refine pass of one run share one
+    ``fingerprint_tables`` pass over the call graph."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.driver import project as projectmod
+
+        seen = []
+        real = projectmod.fingerprint_tables
+
+        def counting(graph, salt=""):
+            seen.append(graph)
+            return real(graph, salt)
+
+        monkeypatch.setattr(projectmod, "fingerprint_tables", counting)
+        return seen
+
+    def test_cli_runs_fingerprint_once(self, teeth_tree, tmp_path, capsys,
+                                       calls):
+        cache = str(tmp_path / "cache")
+        for extra in ((), ("--incremental",), ("--incremental",)):
+            del calls[:]
+            run_cli(teeth_tree, capsys, "--refine=annotate", "--cache-dir",
+                    cache, *extra)
+            assert len(calls) == 1, extra
+
+    def test_each_daemon_burst_fingerprints_once(self, teeth_tree, tmp_path,
+                                                 calls):
+        options = AnalysisOptions()
+        session = IncrementalSession(
+            str(tmp_path / "dcache"),
+            session_signature(checker_names=["free"], options=options),
+            pin_warm_state=True,
+        )
+        daemon = XgccDaemon(
+            watch_roots=[str(teeth_tree)], extension_factory=free_checker_list,
+            session=session, socket_path=str(tmp_path / "unused.sock"),
+            include_paths=[str(teeth_tree)], cache_dir=str(tmp_path / "dcache"),
+            options=options, refine="annotate",
+        )
+        for force in (False, True):
+            del calls[:]
+            daemon.analyze(force=force)
+            assert len(calls) == 1
+
+
 class TestDifferentialParity:
     """Refined output is byte-identical across every driver path, and
     the verdicts themselves never depend on the path that computed
