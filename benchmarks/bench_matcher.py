@@ -1,7 +1,13 @@
-"""Compiled table-driven matcher vs the tree-walking interpreter.
+"""Dispatch tables in front of the tree-walking matcher vs the bare
+matcher.
+
+There is one pattern matcher, the interpreter in
+``repro.metal.patterns``; "compiled" means the per-state dispatch tables
+of ``repro.metal.compile`` (docs/MATCHER.md) choosing which rules it
+tries, "interp" means it tries every transition of the state.
 
 Dumped to ``BENCH_matcher.json``: end-to-end analysis wall time (parse
-excluded, compile-at-registration included -- the cost a user pays per
+excluded, table construction included -- the cost a user pays per
 ``run``) under ``--matcher=interp`` and ``--matcher=compiled`` on
 
 - ``fig3_scenarios``: the Figure 3 lock scenarios, replicated 40x --
@@ -149,7 +155,7 @@ def test_fig3_lock_burst_tripwire():
 
 
 def test_torture_instances_acceptance():
-    """The acceptance series: >=2x end-to-end with compiled matchers on
+    """The acceptance series: >=2x end-to-end with dispatch tables on
     an instance-heavy torture workload."""
     print("\nmatcher modes, instance torture:")
     row = compare_modes(

@@ -134,9 +134,10 @@ def build_parser():
                         help="preprocessor define NAME[=VALUE] (repeatable)")
     parser.add_argument(
         "--matcher", choices=["compiled", "interp"], default=None,
-        help="pattern-matching engine: 'compiled' table-driven matchers "
-        "(the default; docs/MATCHER.md) or the tree-walking 'interp' "
-        "oracle -- both produce byte-identical reports",
+        help="pattern-matching engine: 'compiled' per-state dispatch "
+        "tables in front of the tree-walking matcher (the default; "
+        "docs/MATCHER.md) or 'interp', the same matcher over every "
+        "transition as the oracle -- both produce byte-identical reports",
     )
     parser.add_argument("--no-interprocedural", action="store_true")
     parser.add_argument("--no-false-path-pruning", action="store_true")

@@ -46,8 +46,9 @@ from contextlib import contextmanager
 #: ``refine_confirmed`` / ``refine_infeasible`` / ``refine_unknown``
 #: (per-verdict tallies), ``refine_budget_hits`` (verdicts degraded to
 #: unknown by a blown enumeration budget or injected fault), and
-#: ``report_run_prune_errors`` (failed ``--prune-runs`` sweeps).
-SCHEMA_VERSION = 8
+#: ``report_run_prune_errors`` (failed ``--prune-runs`` sweeps).  9:
+#: ``matcher_fallbacks`` removed from the engine stats (one matcher).
+SCHEMA_VERSION = 9
 
 
 class DriverStats:

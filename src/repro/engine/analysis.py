@@ -110,9 +110,10 @@ class AnalysisOptions:
         # artifacts in serial order (the driver's incremental session and
         # the parallel merge both do).
         self.capture_root_artifacts = capture_root_artifacts
-        # Pattern-matching engine: "compiled" runs the table-driven
-        # matchers from repro.metal.compile (docs/MATCHER.md);
-        # "interp" runs the tree-walking oracle in repro.metal.patterns.
+        # Pattern-matching engine: "compiled" puts the per-state dispatch
+        # tables of repro.metal.compile (docs/MATCHER.md) in front of the
+        # tree-walking matcher in repro.metal.patterns; "interp" runs
+        # that matcher over every transition, as the oracle.
         # Both produce byte-identical reports/artifacts/deltas; the
         # XGCC_MATCHER environment variable overrides the default so CI
         # can run whole suites against the oracle.
@@ -305,7 +306,6 @@ class Analysis:
             "degraded_roots": 0,
             "matcher_table_hits": 0,
             "matcher_miss_memo_hits": 0,
-            "matcher_fallbacks": 0,
             "matcher_compile_s": 0.0,
         }
         # Matcher counters accumulate in plain attributes (a dict update
@@ -313,7 +313,6 @@ class Analysis:
         # and fold into ``stats`` when a run finishes.
         self._m_table_hits = 0
         self._m_miss_memo_hits = 0
-        self._m_fallbacks = 0
         # The active extension's CompiledExtension, or None under
         # --matcher=interp (set per run_one).
         self._compiled = None
@@ -448,7 +447,6 @@ class Analysis:
                 break
         self.stats["matcher_table_hits"] = self._m_table_hits
         self.stats["matcher_miss_memo_hits"] = self._m_miss_memo_hits
-        self.stats["matcher_fallbacks"] = self._m_fallbacks
         return self._table
 
     def _apply_replay(self, resolved):
@@ -804,9 +802,9 @@ class Analysis:
         return matched_this_point
 
     def _apply_extension_compiled(self, sm, point, creation_site, end_of_path):
-        """The compiled twin of :meth:`_apply_extension`: identical rule
-        order, first-match-wins for instances, all-matches for globals --
-        only dispatch and matching change (docs/MATCHER.md)."""
+        """The table-driven twin of :meth:`_apply_extension`: identical
+        rule order, first-match-wins for instances, all-matches for
+        globals -- only the dispatch changes (docs/MATCHER.md)."""
         compiled = self._compiled
         cls = point.__class__
         if not compiled.any_candidates(cls, end_of_path):
@@ -844,18 +842,10 @@ class Analysis:
                 continue
             table_hits += 1
             for crule in candidates:
-                if crule.matcher is None:
-                    self._m_fallbacks += 1
-                    bindings = {inst.var_name: inst.obj}
-                    mctx = MatchContext(point, bindings, self, end_of_path)
-                    if not crule.rule.pattern.match(point, bindings, mctx):
-                        continue
-                else:
-                    bindings = crule.match(
-                        point, self, end_of_path, inst.var_name, inst.obj
-                    )
-                    if bindings is None:
-                        continue
+                bindings = {inst.var_name: inst.obj}
+                mctx = MatchContext(point, bindings, self, end_of_path)
+                if not crule.rule.pattern.match(point, bindings, mctx):
+                    continue
                 matched_this_point = True
                 touched.add((inst.var_name, inst.obj_key))
                 self._execute_instance_rule(sm, crule.rule, inst, bindings, point)
@@ -874,16 +864,10 @@ class Analysis:
         self._m_miss_memo_hits += miss_hits
         self._m_table_hits += table_hits + 1
         for crule in candidates:
-            if crule.matcher is None:
-                self._m_fallbacks += 1
-                bindings = {}
-                mctx = MatchContext(point, bindings, self, end_of_path)
-                if not crule.rule.pattern.match(point, bindings, mctx):
-                    continue
-            else:
-                bindings = crule.match(point, self, end_of_path)
-                if bindings is None:
-                    continue
+            bindings = {}
+            mctx = MatchContext(point, bindings, self, end_of_path)
+            if not crule.rule.pattern.match(point, bindings, mctx):
+                continue
             matched_this_point = True
             self._execute_global_rule(
                 sm, crule.rule, bindings, point, creation_site, touched
@@ -1150,20 +1134,10 @@ class Analysis:
                 return
             self._m_table_hits += 1
             for crule in table.eop_mentions:
-                if crule.matcher is None:
-                    self._m_fallbacks += 1
-                    bindings = {inst.var_name: inst.obj}
-                    mctx = MatchContext(
-                        end_point, bindings, self, end_of_path=True
-                    )
-                    if not crule.rule.pattern.match(end_point, bindings, mctx):
-                        continue
-                else:
-                    bindings = crule.match(
-                        end_point, self, True, inst.var_name, inst.obj
-                    )
-                    if bindings is None:
-                        continue
+                bindings = {inst.var_name: inst.obj}
+                mctx = MatchContext(end_point, bindings, self, end_of_path=True)
+                if not crule.rule.pattern.match(end_point, bindings, mctx):
+                    continue
                 self._execute_instance_rule(
                     sm, crule.rule, inst, bindings, end_point
                 )

@@ -114,7 +114,7 @@ class Extension:
     """A metal extension: state variables, values, and transitions."""
 
     # Derived-structure caches (per-state transition grouping, the
-    # end-of-path flag, the compiled matcher tables).  Each cache entry
+    # end-of-path flag, the matcher's dispatch tables).  Each cache entry
     # is ``(mutation_key, value)``; see :meth:`_mutation_key`.  Class
     # attributes so unpickled instances start clean.
     _groups_cache = None
@@ -309,7 +309,7 @@ class Extension:
         return cache[1]
 
     def compiled(self):
-        """The table-driven matcher set for this extension (lazily built
+        """The matcher's dispatch tables for this extension (lazily built
         by :mod:`repro.metal.compile`, invalidated when the transition
         list changes)."""
         key = self._mutation_key()
@@ -322,7 +322,7 @@ class Extension:
         return cache[1]
 
     def __getstate__(self):
-        """Derived caches hold compiled closures; never pickle them."""
+        """Derived caches are rebuilt on demand; never pickle them."""
         state = dict(self.__dict__)
         for attr in ("_groups_cache", "_eop_cache", "_compiled_cache"):
             state.pop(attr, None)

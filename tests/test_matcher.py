@@ -1,13 +1,17 @@
-"""The compiled table-driven matcher (docs/MATCHER.md).
+"""The table-driven matcher dispatch (docs/MATCHER.md).
 
-Four layers of evidence that ``--matcher=compiled`` is a pure speedup:
+``--matcher=compiled`` puts per-state dispatch tables in front of the
+one tree-walking matcher; ``--matcher=interp`` runs that matcher over
+every transition.  Four layers of evidence that the tables are a pure
+speedup:
 
-* hypothesis properties: random pattern/point pairs (base patterns and
-  ``&&``/``||``/``!``/callout compositions, seeded and unseeded) agree
-  with the interpreter on success *and* on every hole binding;
+* hypothesis properties (dispatch soundness): for random pattern/point
+  pairs (base patterns and ``&&``/``||``/``!``/callout/``$end_of_path$``
+  compositions, seeded and unseeded), whenever the interpreter matches a
+  rule at a point, the rule is a candidate of its source state's table
+  for that point's class -- in normal and in end-of-path mode;
 * dispatch-table unit tests: every seed checker's transitions land in
-  exactly one source-state table, in declaration order, with zero
-  interpreter fallbacks;
+  exactly one source-state table, in declaration order;
 * engine counters: the ``matcher_*`` stats move in compiled mode and
   stay zero in interp mode;
 * the differential harness: every seed checker over the torture files
@@ -18,6 +22,7 @@ Four layers of evidence that ``--matcher=compiled`` is a pure speedup:
 
 import os
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -30,20 +35,17 @@ from repro.checkers import ALL_CHECKERS, audit_checker, free_checker
 from repro.checkers.pathkill import path_kill_extension
 from repro.driver.project import Project
 from repro.driver.session import IncrementalSession, session_signature
-from repro.engine.analysis import Analysis, AnalysisOptions
+from repro.engine.analysis import Analysis, AnalysisOptions, _EndOfPathPoint
 from repro.metal import (
     ANY_EXPR,
     ANY_POINTER,
     ANY_SCALAR,
     Extension,
 )
-from repro.metal.compile import (
-    CompiledExtension,
-    compile_matcher,
-    run_matcher,
-)
+from repro.metal.compile import CompiledExtension
 from repro.metal.patterns import (
     Callout,
+    EndOfPath,
     MatchContext,
     NotPattern,
     compile_pattern,
@@ -76,17 +78,48 @@ def _norm(bindings):
     return {name: _norm_value(value) for name, value in bindings.items()}
 
 
-def interp_match(pattern, point, seed=None):
+def interp_match(pattern, point, seed=None, end_of_path=False):
     bindings = dict(seed or {})
-    ctx = MatchContext(point, bindings)
+    ctx = MatchContext(point, bindings, end_of_path=end_of_path)
     if pattern.match(point, bindings, ctx):
         return bindings
     return None
 
 
-def compiled_match(pattern, point, seed=None):
-    matcher = compile_matcher(pattern, extra_names=tuple(seed or ()))
-    return run_matcher(matcher, point, seed=seed)
+def _probe_extension(pattern):
+    """One extension holding ``pattern`` twice: as a global rule out of
+    ``start`` and as an instance rule out of ``v.armed``."""
+    ext = Extension("dispatch_probe")
+    ext.state_var("v", ANY_POINTER)
+    ext.transition("start", pattern)
+    ext.transition("v.armed", pattern)
+    return ext
+
+
+def sound_match(pattern, point, seed=None):
+    """The interpreter's bindings at a normal point (None: no match),
+    after checking dispatch soundness: in both modes, whenever the
+    interpreter matches, the rule is a candidate of each source state's
+    table for ``type(point)``, so the table-driven engine tries it."""
+    compiled = _probe_extension(pattern).compiled()
+    tables = (
+        compiled.global_table("start"),
+        compiled.specific_table("v", "armed"),
+    )
+    cls = type(point)
+    found = {}
+    for end_of_path in (False, True):
+        bindings = interp_match(pattern, point, seed, end_of_path)
+        found[end_of_path] = bindings
+        if bindings is None:
+            continue
+        assert compiled.any_candidates(cls, end_of_path), (cls, end_of_path)
+        for table in tables:
+            candidates = table.candidates(cls, end_of_path)
+            assert [c.rule.pattern for c in candidates] == [pattern], (
+                cls, end_of_path, pattern
+            )
+    return found[False]
 
 
 def reports_of(code, extension, mode, filename="m.c"):
@@ -97,7 +130,7 @@ def reports_of(code, extension, mode, filename="m.c"):
 
 
 # ---------------------------------------------------------------------------
-# hypothesis properties: compiled == interpreter
+# hypothesis properties: the dispatch tables never prune a match
 
 
 IDENTS = ["p", "q", "buf", "count"]
@@ -139,15 +172,21 @@ def _point(text):
     return parse_expression(text)
 
 
+#: The synthetic point the engine matches $end_of_path$ rules at.
+EOP_POINT = _EndOfPathPoint(
+    SimpleNamespace(cfg=SimpleNamespace(decl=SimpleNamespace(location=None)))
+)
+
+
 class TestCompiledVsInterpreterProperties:
+    """The table-driven path runs the interpreter on the candidates the
+    tables offer, so it agrees with the bare interpreter exactly when
+    the tables never drop a rule the interpreter would match."""
+
     @settings(max_examples=200, deadline=None)
     @given(pattern_texts, expr_texts)
     def test_random_pairs_agree(self, ptext, etext):
-        pattern = compile_pattern(ptext, HOLES)
-        point = _point(etext)
-        assert _norm(compiled_match(pattern, point)) == _norm(
-            interp_match(pattern, point)
-        )
+        sound_match(compile_pattern(ptext, HOLES), _point(etext))
 
     @settings(max_examples=200, deadline=None)
     @given(pattern_texts)
@@ -155,16 +194,12 @@ class TestCompiledVsInterpreterProperties:
         """Force frequent successes: match each pattern against its own
         hole-substituted instantiation."""
         pattern = compile_pattern(ptext, HOLES)
-        point = _point(_instantiate(ptext))
-        got, want = (
-            _norm(compiled_match(pattern, point)),
-            _norm(interp_match(pattern, point)),
-        )
-        assert got == want
+        sound_match(pattern, _point(_instantiate(ptext)))
 
     @settings(max_examples=150, deadline=None)
     @given(pattern_texts, pattern_texts,
-           st.sampled_from(["and", "or", "not", "callout"]))
+           st.sampled_from(["and", "or", "not", "callout", "eop_and",
+                            "eop_or"]))
     def test_compositions_agree(self, left_text, right_text, combinator):
         left = compile_pattern(left_text, HOLES)
         right = compile_pattern(right_text, HOLES)
@@ -174,50 +209,46 @@ class TestCompiledVsInterpreterProperties:
             pattern = left | right
         elif combinator == "not":
             pattern = left & NotPattern(right)
-        else:
+        elif combinator == "callout":
             pattern = left & Callout(
                 lambda ctx: isinstance(ctx.point, ast.Call), "is_call"
             )
-        point = _point(_instantiate(left_text))
-        assert _norm(compiled_match(pattern, point)) == _norm(
-            interp_match(pattern, point)
-        )
+        elif combinator == "eop_and":
+            pattern = left & EndOfPath()
+        else:
+            pattern = left | EndOfPath()
+        sound_match(pattern, _point(_instantiate(left_text)))
+        sound_match(pattern, EOP_POINT)
 
     @settings(max_examples=150, deadline=None)
     @given(pattern_texts, st.sampled_from(IDENTS))
     def test_seeded_matches_agree(self, ptext, seed_ident):
-        """The engine seeds the state variable before matching; both
-        engines must honour (and never rebind past) the seed."""
+        """The engine seeds the state variable before matching; a seed
+        can only narrow what matches, never widen the candidates."""
         pattern = compile_pattern(ptext, HOLES)
         point = _point(_instantiate(ptext))
-        seed = {"v": parse_expression(seed_ident)}
-        assert _norm(compiled_match(pattern, point, seed)) == _norm(
-            interp_match(pattern, point, seed)
-        )
+        sound_match(pattern, point, {"v": parse_expression(seed_ident)})
 
     def test_return_marker_agreement(self):
         pattern = compile_pattern("return x;", HOLES)
         marker = ReturnMarker(parse_expression("count + 1"), None)
-        assert _norm(compiled_match(pattern, marker)) == _norm(
-            interp_match(pattern, marker)
-        ) != None  # noqa: E711 -- both match, identically
-        empty = ReturnMarker(None, None)
-        assert compiled_match(pattern, empty) is None
-        assert interp_match(pattern, empty) is None
-        # A hole never swallows the marker itself.
+        assert _norm(sound_match(pattern, marker)) == {
+            "x": _norm_value(parse_expression("count + 1"))
+        }
+        assert sound_match(pattern, ReturnMarker(None, None)) is None
+        # A hole never swallows the marker itself, and the tables know.
         bare = compile_pattern("x", HOLES)
-        assert compiled_match(bare, marker) is None
-        assert interp_match(bare, marker) is None
+        assert sound_match(bare, marker) is None
+        table = _probe_extension(bare).compiled().global_table("start")
+        assert table.candidates(ReturnMarker) == ()
+        assert table.candidates(ast.Binary) != ()
 
     def test_repeated_hole_agreement(self):
         pattern = compile_pattern("get(x, x)", HOLES)
-        hit = _point("get(buf, buf)")
-        miss = _point("get(buf, count)")
-        assert _norm(compiled_match(pattern, hit)) == _norm(
-            interp_match(pattern, hit)
-        ) != None  # noqa: E711
-        assert compiled_match(pattern, miss) is None
-        assert interp_match(pattern, miss) is None
+        assert _norm(sound_match(pattern, _point("get(buf, buf)"))) == {
+            "x": _norm_value(parse_expression("buf"))
+        }
+        assert sound_match(pattern, _point("get(buf, count)")) is None
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +261,6 @@ class TestDispatchTables:
         ext = ALL_CHECKERS[name]()
         compiled = ext.compiled()
         assert isinstance(compiled, CompiledExtension)
-        # Zero fallbacks: every seed-checker pattern compiles.
-        assert compiled.n_fallback == 0
         crules = list(compiled.all_rules())
         assert len(crules) == len(ext.transitions) == compiled.n_rules
         seen = [id(cr.rule) for cr in crules]
@@ -335,7 +364,6 @@ class TestMatcherCounters:
         stats = result.stats
         assert stats["matcher_table_hits"] > 0
         assert stats["matcher_miss_memo_hits"] > 0
-        assert stats["matcher_fallbacks"] == 0
         assert stats["matcher_compile_s"] > 0.0
         assert "matcher_compile_s:free_checker" in stats
 
@@ -344,7 +372,6 @@ class TestMatcherCounters:
         stats = result.stats
         assert stats["matcher_table_hits"] == 0
         assert stats["matcher_miss_memo_hits"] == 0
-        assert stats["matcher_fallbacks"] == 0
         assert stats["matcher_compile_s"] == 0.0
 
     def test_bad_mode_rejected(self):
@@ -364,12 +391,10 @@ class TestTortureDifferential:
         for name, make in sorted(ALL_CHECKERS.items()):
             outputs = {}
             for mode in ("interp", "compiled"):
-                ranked, result = reports_of(
+                ranked, __ = reports_of(
                     text, make(), mode, filename=fname + ".c"
                 )
                 outputs[mode] = ranked
-                if mode == "compiled":
-                    assert result.stats["matcher_fallbacks"] == 0, name
             assert outputs["interp"] == outputs["compiled"], (fname, name)
 
 
