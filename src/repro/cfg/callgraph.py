@@ -7,6 +7,18 @@ arbitrarily so that every function is reachable from some root.
 from repro.cfront import astnodes as ast
 
 
+def function_callees(decl):
+    """The sorted names every direct call in a definition's body names
+    (defined in the project or not)."""
+    names = set()
+    for node in decl.body.walk():
+        if isinstance(node, ast.Call):
+            callee = node.callee_name()
+            if callee is not None:
+                names.add(callee)
+    return tuple(sorted(names))
+
+
 class CallGraph:
     """Direct-call graph over a set of function definitions."""
 
@@ -30,14 +42,15 @@ class CallGraph:
 
     def link(self):
         """(Re)compute callee/caller sets from the function bodies."""
-        self.callees = {name: set() for name in self.functions}
         self.callers = {name: set() for name in self.functions}
+        self.callees = {}
         for name, decl in self.functions.items():
-            for node in decl.body.walk():
-                if isinstance(node, ast.Call):
-                    callee = node.callee_name()
-                    if callee is not None:
-                        self.callees[name].add(callee)
+            # Facts attached at parse time (repro.cfg.fingerprint.
+            # attach_facts) carry the callee set: no body walk.
+            facts = getattr(decl, "facts", None)
+            self.callees[name] = set(
+                facts[1] if facts is not None else function_callees(decl)
+            )
         for name, callees in self.callees.items():
             for callee in callees:
                 if callee in self.callers:

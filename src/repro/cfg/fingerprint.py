@@ -26,11 +26,26 @@ member of an SCC folds in a group hash over all members' local hashes
 plus the fingerprints of the SCC's external callees, so the Merkle
 construction terminates and any edit inside a cycle invalidates the
 whole cycle (and its callers) deterministically.
+
+A function's local hash and callee set depend on its definition alone,
+so pass 1 computes them once, when the unit is parsed
+(:func:`attach_facts`), and the AST cache stores them with the unit
+under :data:`FACTS_VERSION`.  :func:`fingerprint_tables` and
+:meth:`repro.cfg.callgraph.CallGraph.link` reuse those *facts* for
+cache-loaded and daemon-pinned units instead of re-unparsing and
+re-walking every body on every run.
 """
 
 import hashlib
 
+from repro.cfg.callgraph import function_callees
 from repro.cfront.unparse import unparse
+
+#: Version of the per-function facts stored with cached ASTs.  Bump when
+#: :func:`function_token_hash` or :func:`repro.cfg.callgraph.
+#: function_callees` changes what it computes: a frame tagged with any
+#: other version has its facts recomputed on load.
+FACTS_VERSION = "1"
 
 
 def function_token_hash(decl):
@@ -45,6 +60,19 @@ def function_token_hash(decl):
     digest.update(b"\x00")
     digest.update(unparse(decl).encode())
     return digest.hexdigest()
+
+
+def attach_facts(unit):
+    """Compute every definition's facts and attach them to its decl."""
+    for decl in unit.functions():
+        decl.facts = (function_token_hash(decl), function_callees(decl))
+
+
+def has_facts(unit):
+    """True when every definition in ``unit`` carries attached facts."""
+    return all(
+        getattr(decl, "facts", None) is not None for decl in unit.functions()
+    )
 
 
 def strongly_connected_components(graph):
@@ -119,8 +147,13 @@ def fingerprint_tables(graph, salt=""):
     over callees (which functions are in the *dirty cone*).
     """
     fingerprints = {}
-    local = {name: function_token_hash(decl)
-             for name, decl in graph.functions.items()}
+    local = {}
+    for name, decl in graph.functions.items():
+        # Facts attached at parse time carry the local hash: no unparse.
+        facts = getattr(decl, "facts", None)
+        local[name] = (
+            facts[0] if facts is not None else function_token_hash(decl)
+        )
     for component in strongly_connected_components(graph):
         members = set(component)
         digest = hashlib.sha256()

@@ -12,8 +12,28 @@ artifacts.  We key each one by what actually determines its contents:
 
 Hashing the *preprocessed* tokens means edits to any transitively included
 header invalidate every file that saw it, while whitespace/comment-only
-edits still hit.  A warm cache turns pass 1 into pure ``load_emitted``
-work: zero re-parses.
+edits still hit.  Each frame also carries its functions' local hashes and
+callee sets (:data:`repro.cfg.fingerprint.FACTS_VERSION`), so a loaded
+unit is fingerprinted and linked without re-walking its bodies.
+
+Direct mode (ccache's name for it) skips the preprocessing a token key
+needs.  The first time a unit is preprocessed, every ``file_reader``
+call the preprocessor makes is recorded in order as ``(path, sha256 of
+text)``, or ``(path, None)`` for a miss -- the include-path candidates
+that were not there.  That list and the resulting token key form a *dep
+entry*, stored in the same tier under its own frame magic and keyed by
+
+    dep key = SHA-256( dep format + parser version || filename
+                     || include paths || -D defines || raw source text )
+
+A warm run hashes the source, fetches the dep entry and re-reads every
+recorded path.  When every digest (and every miss) still holds, the
+preprocessor -- a deterministic function of its inputs and each reader
+response -- would produce the same tokens, so the recorded key is
+fetched without lexing, preprocessing or token hashing.  Any mismatch
+falls through to the preprocess -> token-key path; a header created
+earlier on the include path turns a recorded miss into a hit, so it
+invalidates the entry too.
 
 Tier 2 -- summary/report frames (:class:`SummaryCache`).  Pass 2's
 per-root outcomes (:class:`repro.engine.summaries.RootArtifact`) are
@@ -62,6 +82,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 from repro import faults
+from repro.cfg.fingerprint import FACTS_VERSION, attach_facts, has_facts
 from repro.driver import store as storemod
 from repro.driver.store import StoreError  # noqa: F401  (re-exported)
 from repro.engine.summaries import SUMMARY_VERSION
@@ -82,6 +103,13 @@ SUMMARY_FORMAT_VERSION = 2
 FRAME_MAGIC = b"XGCCAST\x02"
 _FRAME_HEADER = len(FRAME_MAGIC) + 32
 
+#: Frame magic for direct-mode dep entries (tier 1, same layout, a marker
+#: of their own so a dep entry and an AST can never be confused).
+DEP_MAGIC = b"XGCCDEP\x01"
+
+#: Payload format marker for dep entries.
+DEP_FORMAT_VERSION = 1
+
 #: Frame magic for tier-2 summary frames (same layout, distinct marker so
 #: the tiers can never be confused for one another).
 SUMMARY_MAGIC = b"XGCCSUM\x01"
@@ -94,10 +122,10 @@ class CacheCorruption(Exception):
     version.  Callers evict and re-parse instead of crashing."""
 
 
-def cache_key(filename, tokens, include_paths=(), defines=None):
-    """The content-addressed key for one preprocessed file."""
+def _config_digest(version, filename, include_paths, defines):
+    """A SHA-256 primed with one unit's preprocessing configuration."""
     digest = hashlib.sha256()
-    digest.update(PARSER_VERSION.encode())
+    digest.update(version.encode())
     digest.update(b"\x00")
     digest.update(str(filename).encode())
     digest.update(b"\x00")
@@ -109,12 +137,118 @@ def cache_key(filename, tokens, include_paths=(), defines=None):
         digest.update(("%s=%s" % (name, value)).encode())
         digest.update(b"\x1d")
     digest.update(b"\x00")
+    return digest
+
+
+def cache_key(filename, tokens, include_paths=(), defines=None):
+    """The content-addressed key for one preprocessed file."""
+    digest = _config_digest(PARSER_VERSION, filename, include_paths, defines)
     for token in tokens:
         digest.update(token.kind.name.encode())
         digest.update(b"\x1f")
         digest.update(token.value.encode())
         digest.update(b"\x1e")
     return digest.hexdigest()
+
+
+def text_digest(text):
+    """SHA-256 hex of one reader response."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def dep_key(filename, text, include_paths=(), defines=None):
+    """The dep-entry key of one unit: its configuration plus raw source."""
+    digest = _config_digest(
+        "dep%d:%s" % (DEP_FORMAT_VERSION, PARSER_VERSION), filename,
+        include_paths, defines,
+    )
+    digest.update(text.encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
+
+
+#: The digest a probe reports for a reader that failed with anything but
+#: a miss; it equals no recorded response, so the entry never validates
+#: and the preprocessor raises the error a cold run raises.
+UNREADABLE = "unreadable"
+
+
+class DependencyRecorder:
+    """A preprocessor ``file_reader`` recording every call in order:
+    ``(path, text_digest)`` for a read, ``(path, None)`` for a miss
+    (``OSError``, or ``KeyError`` from an in-memory reader).  This is
+    the one record of which files a unit read: dep entries store it and
+    the daemon's include dependencies come from it."""
+
+    def __init__(self, inner=None):
+        self.inner = inner
+        self.calls = []
+
+    def __call__(self, path):
+        try:
+            if self.inner is not None:
+                text = self.inner(path)
+            else:
+                with open(path, "r") as handle:
+                    text = handle.read()
+        except (OSError, KeyError):
+            self.calls.append((path, None))
+            raise
+        self.calls.append((path, text_digest(text)))
+        return text
+
+    def probe(self, path):
+        """The digest a read of ``path`` records now: a hex digest, None
+        for a miss, or :data:`UNREADABLE`."""
+        try:
+            self(path)
+        except (OSError, KeyError):
+            pass
+        except Exception:
+            return UNREADABLE
+        return self.calls[-1][1]
+
+
+def deps_hold(deps, recorder, digests):
+    """True when every recorded reader response in ``deps`` still holds.
+
+    ``digests`` memoizes ``path -> current digest`` (one probe per path
+    however many units share it); ``recorder`` performs the probes.
+    """
+    for path, recorded in deps:
+        if path not in digests:
+            digests[path] = recorder.probe(path)
+        if digests[path] != recorded:
+            return False
+    return True
+
+
+def pack_deps(ast_key, deps):
+    """Frame a dep entry: the token key plus the recorded reader calls."""
+    return pack_frame(
+        DEP_MAGIC,
+        {
+            "format": DEP_FORMAT_VERSION,
+            "ast_key": ast_key,
+            "deps": [tuple(call) for call in deps],
+        },
+    )
+
+
+def unpack_deps(data):
+    """``(ast_key, deps)`` of a dep entry; raises :class:`CacheCorruption`
+    on a bad frame, a format skew, or a malformed record."""
+    obj = unpack_frame(DEP_MAGIC, data)
+    if not isinstance(obj, dict) or obj.get("format") != DEP_FORMAT_VERSION:
+        raise CacheCorruption("dep entry format skew or not a dep entry")
+    ast_key, deps = obj.get("ast_key"), obj.get("deps")
+    if not isinstance(ast_key, str) or not isinstance(deps, list) or not all(
+        isinstance(call, tuple) and len(call) == 2
+        and isinstance(call[0], str)
+        and (call[1] is None or isinstance(call[1], str))
+        for call in deps
+    ):
+        raise CacheCorruption("malformed dep entry")
+    return ast_key, deps
 
 
 def pack_frame(magic, payload_obj):
@@ -143,7 +277,11 @@ def unpack_frame(magic, data):
 
 
 def pack_unit(unit, source_bytes):
-    """Serialize a translation unit into the emitted .ast payload."""
+    """Serialize a translation unit into the emitted .ast payload.
+
+    Facts attached to its definitions (:func:`repro.cfg.fingerprint.
+    attach_facts`) ride inside the unit; ``facts_version`` tags them.
+    """
     return pack_frame(
         FRAME_MAGIC,
         {
@@ -151,6 +289,7 @@ def pack_unit(unit, source_bytes):
             "parser_version": PARSER_VERSION,
             "filename": unit.filename,
             "source_bytes": source_bytes,
+            "facts_version": FACTS_VERSION if has_facts(unit) else None,
             "unit": unit,
         },
     )
@@ -162,6 +301,8 @@ def unpack(data):
     Verifies the frame checksum (framed payloads) and the recorded
     parser version; raises :class:`CacheCorruption` on anything
     untrustworthy.  ``source_bytes`` is 0 for legacy bare-unit pickles.
+    The unit's definitions carry facts: the stored ones when the frame's
+    tag is :data:`FACTS_VERSION`, else freshly computed ones.
     """
     if data[: len(FRAME_MAGIC)] == FRAME_MAGIC:
         obj = unpack_frame(FRAME_MAGIC, data)
@@ -179,12 +320,15 @@ def unpack(data):
                 % (version, PARSER_VERSION)
             )
         unit, source_bytes = obj["unit"], int(obj.get("source_bytes") or 0)
+        facts_version = obj.get("facts_version")
     else:
-        unit, source_bytes = obj, 0
+        unit, source_bytes, facts_version = obj, 0, None
     if not hasattr(unit, "decls"):
         raise CacheCorruption(
             "payload is not a translation unit: %r" % type(unit)
         )
+    if facts_version != FACTS_VERSION:
+        attach_facts(unit)  # absent or stale: recompute
     return unit, source_bytes
 
 
@@ -289,6 +433,15 @@ class AstCache:
     def evict(self, key):
         """Drop a (corrupt) entry; the next probe for ``key`` misses."""
         return self.backend.delete_many("ast", [key]) > 0
+
+    def fetch_deps(self, key):
+        """The dep-entry frame bytes stored under ``key``, or None."""
+        return self.backend.get_many("ast", [key]).get(key)
+
+    def store_deps(self, key, ast_key, deps):
+        """Persist a dep entry (no fault site: AST corruption faults
+        keep hitting AST frames only)."""
+        self.backend.put_many("ast", {key: pack_deps(ast_key, deps)})
 
 
 def pack_artifact(artifact):
@@ -400,10 +553,10 @@ class SummaryCache:
         except storemod.StoreError:
             pass
 
-    def touch(self, key):
-        """Refresh a frame's liveness without reading it (in-memory
-        warm hits still count as GC liveness)."""
-        self.backend.touch_many("sum", [key])
+    def touch_many(self, keys):
+        """Refresh frames' liveness without reading them (in-memory
+        warm hits still count as GC liveness): one backend call."""
+        self.backend.touch_many("sum", list(keys))
 
     def entry_mtime(self, key):
         """The frame's mtime (local or remote), or None when absent."""

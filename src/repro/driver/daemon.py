@@ -1,7 +1,8 @@
 """``xgccd``: the long-lived analysis daemon behind ``xgcc --watch``.
 
 Every ``xgcc --incremental`` invocation pays process startup, manifest
-load, and a pass-1 probe (preprocess + cache lookup) for *every* file,
+load, and a pass-1 probe for *every* file -- a direct-mode dep check
+(re-hash the source and each recorded header) plus an AST load --
 even when the dirty cone is one function.  The daemon converts that
 per-run tax into per-process state: one process keeps the
 :class:`repro.driver.session.IncrementalSession` (manifest and summary
@@ -15,8 +16,9 @@ Architecture (single-threaded, crash-containing):
 - A :class:`repro.driver.watch.TreeWatcher` detects edits by content
   fingerprint (SHA-256 of bytes — mtimes are never trusted), polled on
   the serve loop's idle tick and again on every ``analyze`` request.
-- Changed files dirty themselves plus every pinned unit whose recorded
-  include set intersects them; only those re-run pass 1.  Unchanged
+- Changed files dirty themselves plus every pinned unit whose include
+  set (``CompiledUnit.deps``, the reads pass 1 recorded) intersects
+  them; only those re-run pass 1.  Unchanged
   units are adopted from memory (:meth:`repro.driver.project.Project.
   adopt_unit`) — no preprocess, no parse, no cache probe.  A *new*
   non-``.c`` file conservatively dirties everything (it can change
@@ -72,22 +74,10 @@ class _PinnedUnit:
         self.deps = frozenset(deps)
 
 
-class _RecordingReader:
-    """A ``Project.file_reader`` wrapper recording every successful read
-    (the compile's include-dependency set)."""
-
-    def __init__(self, inner=None):
-        self.inner = inner
-        self.seen = set()
-
-    def __call__(self, path):
-        if self.inner is not None:
-            text = self.inner(path)
-        else:
-            with open(path, "r") as handle:
-                text = handle.read()
-        self.seen.add(os.path.abspath(path))
-        return text
+#: Pass 1 records each unit's reads itself (``CompiledUnit.deps``); this
+#: name stays bound because perfbench's layer ledger
+#: (``perfbench/tracing.py``) counts header reads through it.
+_RecordingReader = astcache.DependencyRecorder
 
 
 class XgccDaemon:
@@ -237,7 +227,7 @@ class XgccDaemon:
         project = Project(
             include_paths=self.include_paths, defines=self.defines,
             cache_dir=self.cache_dir, stats=self.stats, keep_going=True,
-            store_url=self.store_url,
+            store_url=self.store_url, file_reader=self.file_reader,
             store_backend=getattr(self.session, "backend", None),
         )
         for path in c_files:
@@ -245,12 +235,9 @@ class XgccDaemon:
             if pin is not None and path not in dirty:
                 project.adopt_unit(pin.compiled)
                 continue
-            reader = _RecordingReader(self.file_reader)
-            project.file_reader = reader
             compiled = project.compile_files(
                 [path], worker_timeout=self.worker_timeout
             )
-            project.file_reader = self.file_reader
             if not compiled:
                 # Pass 1 failed outright (keep_going recorded a unit
                 # degradation): drop any stale pin so the next burst
@@ -258,7 +245,7 @@ class XgccDaemon:
                 self._units.pop(path, None)
                 continue
             self._units[path] = _PinnedUnit(
-                self.watcher.state.get(path), compiled[0], reader.seen
+                self.watcher.state.get(path), compiled[0], compiled[0].deps
             )
             self.stats.add("daemon_files_reparsed")
         for path in list(self._units):

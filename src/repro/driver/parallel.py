@@ -164,10 +164,12 @@ class Pass1Task:
     """
 
     __slots__ = ("index", "path", "include_paths", "defines", "cache_dir",
-                 "emit_dir", "file_reader", "store_url", "store")
+                 "emit_dir", "file_reader", "store_url", "store", "digests",
+                 "text", "dep_data")
 
     def __init__(self, index, path, include_paths, defines, cache_dir,
-                 emit_dir, file_reader, store_url=None, store=None):
+                 emit_dir, file_reader, store_url=None, store=None,
+                 digests=None):
         self.index = index
         self.path = path
         self.include_paths = include_paths
@@ -177,10 +179,20 @@ class Pass1Task:
         self.file_reader = file_reader
         self.store_url = store_url
         self.store = store
+        #: ``{path: digest}`` shared by the in-process tasks of one
+        #: ``compile_files`` call, so a header many units include is
+        #: read and hashed once per call (never across calls: the daemon
+        #: re-validates every burst).  Pooled tasks get a fresh one each.
+        self.digests = digests
+        #: Source text and dep-entry bytes (``b""`` when absent) read
+        #: ahead by the parent on a batching backend; None otherwise.
+        self.text = None
+        self.dep_data = None
 
     def __getstate__(self):
         state = {slot: getattr(self, slot) for slot in self.__slots__}
         state["store"] = None  # live backends never cross processes
+        state["digests"] = None
         return state
 
     def __setstate__(self, state):
@@ -194,7 +206,8 @@ class Pass1Result:
     back through the pool's own pickling)."""
 
     __slots__ = ("index", "filename", "status", "key", "cache_path", "unit",
-                 "source_bytes", "emitted_bytes", "timings", "pid", "data")
+                 "source_bytes", "emitted_bytes", "timings", "pid", "data",
+                 "dep_key", "direct", "direct_error", "deps")
 
     def __init__(self, index, filename, status, key, cache_path, unit,
                  source_bytes, emitted_bytes, timings, pid, data=None):
@@ -209,6 +222,14 @@ class Pass1Result:
         self.timings = timings
         self.pid = pid
         self.data = data
+        #: Direct mode: the unit's dep-entry key, whether the entry
+        #: served the AST key ("hit") or the unit was preprocessed
+        #: ("miss"; None without a cache), why a corrupt entry was
+        #: evicted, and the reader calls behind the unit.
+        self.dep_key = None
+        self.direct = None
+        self.direct_error = None
+        self.deps = ()
 
 
 #: Per-process backend memo: a pooled worker keeps one live store
@@ -227,51 +248,105 @@ def _worker_store(cache_dir, store_url):
     return backend
 
 
-def pass1_worker(task):
-    """Preprocess -> cache probe -> parse -> emit for one file.
+def _fetch_hit(store, key):
+    """``(data, path, emitted_bytes)`` of a cached AST, or None."""
+    data, hit_path = store.fetch(key)
+    if data is None and hit_path is None:
+        return None
+    if hit_path is not None:
+        try:
+            return data, hit_path, os.path.getsize(hit_path)
+        except OSError:
+            return data, hit_path, len(data or b"")
+    return data, None, len(data)
 
-    Runs in a worker process (or inline for ``jobs=1``).  The cache probe
-    happens *after* preprocessing because the cache key hashes the
-    preprocessed token stream (header edits must invalidate dependents);
-    a hit still skips the expensive part, the parse.
+
+def _direct_probe(task, store, dkey, result):
+    """Direct mode: the validated dep entry's ``(ast_key, deps)``, or
+    None.  A corrupt entry is evicted and its error noted on
+    ``result``."""
+    data = task.dep_data
+    if data is None:
+        try:
+            data = store.fetch_deps(dkey)
+        except storemod.StoreError:
+            data = None
+    if not data:
+        return None
+    try:
+        ast_key, deps = astcache.unpack_deps(data)
+    except astcache.CacheCorruption as err:
+        result.direct_error = str(err)
+        store.evict(dkey)
+        return None
+    recorder = astcache.DependencyRecorder(task.file_reader)
+    digests = task.digests if task.digests is not None else {}
+    if not astcache.deps_hold(deps, recorder, digests):
+        return None
+    return ast_key, deps
+
+
+def pass1_worker(task):
+    """Dep probe -> preprocess -> cache probe -> parse -> emit for one
+    file.
+
+    Runs in a worker process (or inline for ``jobs=1``).  With a cache,
+    direct mode comes first: a dep entry whose recorded reads all still
+    hold names the AST key without preprocessing.  Otherwise the cache
+    probe happens *after* preprocessing because the key hashes the
+    preprocessed token stream (header edits must invalidate
+    dependents); a hit still skips the expensive part, the parse.
     """
     from repro.cfront.preproc import Preprocessor
 
     faults.at_worker_entry("pass1.worker", key=task.path)
     timings = {}
+    result = Pass1Result(
+        index=task.index, filename=task.path, status=None, key=None,
+        cache_path=None, unit=None, source_bytes=None, emitted_bytes=None,
+        timings=timings, pid=os.getpid(),
+    )
     read = task.file_reader or _read_source
     start = time.perf_counter()
-    text = read(task.path)
-    pp = Preprocessor(task.include_paths, task.defines, task.file_reader)
-    tokens = pp.preprocess_text(text, task.path)
-    timings["preprocess"] = time.perf_counter() - start
+    text = task.text if task.text is not None else read(task.path)
 
-    key = None
     store = None
     if task.cache_dir or getattr(task, "store_url", None):
         backend = getattr(task, "store", None) or _worker_store(
             task.cache_dir, getattr(task, "store_url", None)
         )
         store = astcache.AstCache(backend=backend)
-        key = astcache.cache_key(
+        result.dep_key = astcache.dep_key(
+            task.path, text, task.include_paths, task.defines
+        )
+        direct = _direct_probe(task, store, result.dep_key, result)
+        if direct is not None:
+            hit = _fetch_hit(store, direct[0])
+            if hit is not None:
+                result.status, result.direct = "hit", "hit"
+                result.key, result.deps = direct
+                result.data, result.cache_path, result.emitted_bytes = hit
+                return result
+        result.direct = "miss"
+
+    recorder = astcache.DependencyRecorder(task.file_reader)
+    pp = Preprocessor(task.include_paths, task.defines, recorder)
+    tokens = pp.preprocess_text(text, task.path)
+    timings["preprocess"] = time.perf_counter() - start
+    result.deps = recorder.calls
+
+    if store is not None:
+        result.key = astcache.cache_key(
             task.path, tokens, task.include_paths, task.defines
         )
-        data, hit_path = store.fetch(key)
-        if data is not None or hit_path is not None:
-            if hit_path is not None:
-                try:
-                    emitted = os.path.getsize(hit_path)
-                except OSError:
-                    emitted = len(data or b"")
-            else:
-                emitted = len(data)
-            return Pass1Result(
-                index=task.index, filename=task.path, status="hit", key=key,
-                cache_path=hit_path, unit=None, source_bytes=None,
-                emitted_bytes=emitted, timings=timings,
-                pid=os.getpid(), data=data,
-            )
+        hit = _fetch_hit(store, result.key)
+        if hit is not None:
+            store.store_deps(result.dep_key, result.key, recorder.calls)
+            result.status = "hit"
+            result.data, result.cache_path, result.emitted_bytes = hit
+            return result
 
+    from repro.cfg.fingerprint import attach_facts
     from repro.cfront.parser import Parser
 
     faults.check("pass1.parse", key=task.path)
@@ -282,10 +357,14 @@ def pass1_worker(task):
     timings["parse"] = time.perf_counter() - start
 
     start = time.perf_counter()
+    if store is not None:
+        # Facts ride in the stored frame; loads reuse them.
+        attach_facts(unit)
     source_bytes = len(text.encode())
     payload = astcache.pack_unit(unit, source_bytes)
     if store is not None:
-        store.store(key, payload)
+        store.store(result.key, payload)
+        store.store_deps(result.dep_key, result.key, recorder.calls)
     if task.emit_dir:
         os.makedirs(task.emit_dir, exist_ok=True)
         out = os.path.join(
@@ -295,25 +374,49 @@ def pass1_worker(task):
             handle.write(payload)
     timings["emit"] = time.perf_counter() - start
 
-    return Pass1Result(
-        index=task.index, filename=task.path, status="parsed", key=key,
-        cache_path=None, unit=unit, source_bytes=source_bytes,
-        emitted_bytes=len(payload), timings=timings, pid=os.getpid(),
-    )
+    result.status, result.unit = "parsed", unit
+    result.source_bytes, result.emitted_bytes = source_bytes, len(payload)
+    return result
+
+
+def _prefetch_deps(tasks, backend):
+    """Read every source and fetch every dep entry in one backend batch
+    (no per-file round trip on a remote store).  A source that cannot be
+    read is left for its worker, which raises the real error."""
+    keyed = {}
+    for task in tasks:
+        read = task.file_reader or _read_source
+        try:
+            task.text = read(task.path)
+        except (OSError, KeyError, ValueError):
+            continue
+        keyed[astcache.dep_key(
+            task.path, task.text, task.include_paths, task.defines
+        )] = task
+    try:
+        found = backend.get_many("ast", sorted(keyed)) if keyed else {}
+    except storemod.StoreError:
+        found = {}
+    for key, task in keyed.items():
+        task.dep_data = found.get(key, b"")
 
 
 def compile_files_into(project, paths, jobs=1, worker_timeout=None):
     """Run pass 1 for ``paths`` into ``project``; returns CompiledUnits."""
     paths = list(paths)
+    digests = {}
     tasks = [
         Pass1Task(
             index, path, project.include_paths, project.defines,
             project.cache_dir, project.emit_dir, project.file_reader,
-            store_url=getattr(project, "store_url", None),
+            store_url=getattr(project, "store_url", None), digests=digests,
         )
         for index, path in enumerate(paths)
     ]
     stats = project.stats
+    backend = getattr(project, "store_backend", None)
+    if backend is not None and getattr(backend, "prefers_batch", False):
+        _prefetch_deps(tasks, backend)
     keep_going = getattr(project, "keep_going", False)
     use_pool = bool(jobs and jobs > 1 and len(tasks) > 1)
     if use_pool:
@@ -328,7 +431,6 @@ def compile_files_into(project, paths, jobs=1, worker_timeout=None):
     if not use_pool:
         # In-process execution shares the project's live backend (one
         # socket, one overlay) instead of rebuilding one per task.
-        backend = getattr(project, "store_backend", None)
         if backend is not None:
             for task in tasks:
                 task.store = backend
@@ -354,14 +456,15 @@ def compile_files_into(project, paths, jobs=1, worker_timeout=None):
                 results[task.index] = None
     stats.add_time("pass1_wall", time.perf_counter() - start)
 
-    backend = getattr(project, "store_backend", None)
     if backend is not None and getattr(backend, "prefers_batch", False):
         # Pooled workers touched their own connections per task; fold
-        # the hit keys into one batched remote touch so store GC sees
-        # warm use without a round trip per file.
+        # the hit keys (and the dep entries that named them) into one
+        # batched remote touch so store GC sees warm use without a
+        # round trip per file.
         hit_keys = sorted(
-            result.key for result in results.values()
-            if result is not None and result.status == "hit" and result.key
+            key for result in results.values()
+            if result is not None and result.status == "hit"
+            for key in (result.key, result.dep_key) if key
         )
         if hit_keys:
             try:
@@ -391,6 +494,16 @@ def _absorb(project, task, result):
     stats = project.stats
     stats.count_worker_task(result.pid)
     stats.merge_timings(result.timings)
+    deps = frozenset(
+        os.path.abspath(path) for path, digest in result.deps if digest
+    )
+    if result.direct_error is not None:
+        stats.add("direct_evictions")
+        stats.record_degradation(
+            "cache",
+            "%s: corrupt dep entry (%s); evicted and re-preprocessed"
+            % (result.filename, result.direct_error),
+        )
     if result.status == "hit":
         try:
             if result.cache_path is not None:
@@ -426,7 +539,8 @@ def _absorb(project, task, result):
         if result.cache_path is not None:
             astcache.touch_entry(result.cache_path)
         compiled = CompiledUnit(
-            result.filename, unit, source_bytes, len(data), from_cache=True
+            result.filename, unit, source_bytes, len(data), from_cache=True,
+            deps=deps,
         )
     else:
         stats.add("parses")
@@ -434,12 +548,15 @@ def _absorb(project, task, result):
             stats.add("cache_misses")
         compiled = CompiledUnit(
             result.filename, result.unit, result.source_bytes,
-            result.emitted_bytes,
+            result.emitted_bytes, deps=deps,
         )
+    if result.direct is not None:
+        stats.add("direct_hits" if result.direct == "hit" else "direct_misses")
     project.compiled.append(compiled)
     project._register(compiled.unit, compiled.filename)
-    if result.key:
-        project.ast_keys_used.append(result.key)
+    for key in (result.key, result.dep_key):
+        if key:
+            project.ast_keys_used.append(key)
     return compiled
 
 

@@ -38,15 +38,22 @@ from repro.cfront import astnodes as ast
 
 
 class CompiledUnit:
-    """Pass-1 output for one source file."""
+    """Pass-1 output for one source file.
+
+    ``deps`` holds the absolute paths of every file the preprocessor
+    read to build the unit (its include dependencies), as pass 1
+    recorded them; empty for units compiled outside
+    :meth:`Project.compile_files`.
+    """
 
     def __init__(self, filename, unit, source_bytes, emitted_bytes,
-                 from_cache=False):
+                 from_cache=False, deps=frozenset()):
         self.filename = filename
         self.unit = unit
         self.source_bytes = source_bytes
         self.emitted_bytes = emitted_bytes
         self.from_cache = from_cache
+        self.deps = deps
 
     @property
     def expansion_ratio(self):

@@ -582,16 +582,18 @@ class IncrementalSession:
                 key for (_, key) in keymap.values()
                 if key not in self._pinned_frames
             )
+        touched = []
         for root in clean_roots:
             loaded = []
             for ext_index, ext in enumerate(extensions):
                 name, key = keymap[(ext_index, root)]
                 pinned = self._pinned_frames.get(key)
                 if pinned is not None:
-                    # In-memory warm hit: no disk read, but refresh the
-                    # stored frame's mtime so GC still sees it in use.
+                    # In-memory warm hit: no disk read, but the stored
+                    # frame's mtime is refreshed below so GC still sees
+                    # it in use.
                     stats.add("summary_memory_hits")
-                    self.store.touch(key)
+                    touched.append(key)
                     loaded.append((ext_index, key, pinned))
                     continue
                 try:
@@ -624,6 +626,10 @@ class IncrementalSession:
                     cached[(ext_index, root)] = artifact
                     if used_keys is not None:
                         used_keys.add(key)
+        if touched:
+            # One batched liveness refresh for every in-memory hit (one
+            # round trip on a remote store, not one per frame).
+            self.store.touch_many(touched)
         return cached
 
     def _merge(self, extensions, all_roots, fresh, cached):

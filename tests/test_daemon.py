@@ -464,6 +464,55 @@ class TestDaemonGC:
                     assert time.time() - store.entry_mtime(key) < 3600.0
 
 
+class TestPinnedTouchBatching:
+    def test_pinned_warm_run_touches_frames_in_one_call(self, tmp_path,
+                                                         monkeypatch):
+        from repro.driver.project import Project
+
+        src = tmp_path / "src"
+        src.mkdir()
+        write_tree(src, generate_project(
+            seed=9, n_modules=3, functions_per_module=4, bug_rate=0.4,
+        ).files)
+        cache = str(tmp_path / "cache")
+        session = IncrementalSession(
+            cache, session_signature(checker_names=["free", "lock"],
+                                     options=AnalysisOptions()),
+            pin_warm_state=True,
+        )
+
+        def run():
+            project = Project(include_paths=[str(src)], cache_dir=cache,
+                              store_backend=session.backend)
+            project.compile_files(c_paths(src))
+            project.run(cli_checkers(), incremental=session)
+            return project
+
+        run()
+        keys = session.pinned_frame_keys()
+        assert keys
+        store = astcache.SummaryCache(backend=session.backend)
+        stamp = time.time() - 10 * 86400.0
+        for key in keys:
+            store.set_entry_mtime(key, stamp)
+        calls = []
+        real = session.backend.touch_many
+
+        def counting(tier, touched, ts=None):
+            calls.append((tier, sorted(touched)))
+            return real(tier, touched, ts=ts)
+
+        monkeypatch.setattr(session.backend, "touch_many", counting)
+        warm = run()
+        assert warm.stats.count("summary_memory_hits") == len(keys)
+        assert calls == [("sum", keys)]
+        counters = astcache.collect_cache_garbage(cache, cutoff_days=1.0)
+        assert counters["gc_summary_frames_dropped"] == 0
+        for key in keys:
+            assert store.lookup(key) is not None
+            assert time.time() - store.entry_mtime(key) < 3600.0
+
+
 class TestCacheGCRace:
     """Satellite: ``collect_cache_garbage`` used to read pinned keys
     outside any lock, then sweep -- a rival session's read-merge-write

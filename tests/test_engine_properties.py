@@ -6,6 +6,7 @@ analyses report exactly the same errors.  We generate random branchy
 programs with random kfree/use sequences and compare.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,6 +180,58 @@ class TestInterproceduralCachingProperty:
             AnalysisOptions(caching=False, false_path_pruning=False),
         ).run(free_checker())
         assert _report_set(cached) == _report_set(uncached)
+
+
+class TestInterproceduralCachingDefect:
+    """A known counterexample to the property above, pinned so that it
+    cannot silently change: with ``false_path_pruning=False`` the
+    function-summary cache loses two ``double free of p0!`` reports
+    (lines 24 and 27) that the uncached analysis finds."""
+
+    CALLEE_BODY = (
+        "    if (c0) {\n        kfree(p0);\n        kfree(p0);\n"
+        "    } else {\n        kfree(p0);\n        kfree(p0);\n    }"
+    )
+    CALLER_BODY = (
+        "    if (c0) {\n        if (c0) {\n            use(p0);\n"
+        "        } else {\n            kfree(p0);\n        }\n"
+        "    } else {\n        use(p0);\n    }"
+    )
+
+    def _reports(self, matcher, caching):
+        params = ", ".join("int *%s" % p for p in _POINTERS)
+        conds = ", ".join("int c%d" % i for i in range(4))
+        args = ", ".join(_POINTERS) + ", " + ", ".join(
+            "c%d" % i for i in range(4))
+        code = (
+            "int sink;\n"
+            "int callee(%s, %s) {\n%s\n    return 0;\n}\n"
+            "int caller(%s, %s) {\n%s\n    callee(%s);\n%s\n"
+            "    return 0;\n}\n"
+            % (params, conds, self.CALLEE_BODY, params, conds,
+               self.CALLER_BODY, args, self.CALLEE_BODY)
+        )
+        result = Analysis(
+            [parse(code)],
+            AnalysisOptions(caching=caching, false_path_pruning=False,
+                            matcher=matcher),
+        ).run(free_checker())
+        return {(r.message, r.location.line) for r in result.reports}
+
+    @pytest.mark.parametrize("matcher", ["compiled", "interp"])
+    def test_uncached_analysis_finds_double_frees(self, matcher):
+        assert {("double free of p0!", 24),
+                ("double free of p0!", 27)} <= self._reports(matcher, False)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known bug: the interprocedural summary cache drops "
+               "'double free of p0!' at lines 24 and 27 "
+               "(engine/analysis.py, caching with false_path_pruning off)",
+    )
+    @pytest.mark.parametrize("matcher", ["compiled", "interp"])
+    def test_summary_cache_keeps_double_free(self, matcher):
+        assert self._reports(matcher, True) == self._reports(matcher, False)
 
 
 class TestLockCheckerProperties:

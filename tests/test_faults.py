@@ -75,10 +75,16 @@ def _keys(result):
 
 
 def _first_cache_entry(cache_dir):
+    """The first AST frame under ``cache_dir`` (the tier also holds
+    direct-mode dep entries, which tests/test_direct_pass1.py corrupts)."""
     for dirpath, __, filenames in sorted(os.walk(cache_dir)):
         for name in sorted(filenames):
             if name.endswith(".ast"):
-                return os.path.join(dirpath, name)
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as handle:
+                    magic = handle.read(len(astcache.DEP_MAGIC))
+                if magic != astcache.DEP_MAGIC:
+                    return path
     raise AssertionError("no cache entries under %s" % cache_dir)
 
 
